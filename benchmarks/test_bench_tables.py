@@ -85,9 +85,9 @@ def test_bench_table6_link_counting(benchmark):
 
     def kernel():
         links = {}
-        for name, make in VARIANTS.items():
+        for name in VARIANTS:
             st = TraversalStats()
-            for _ in make(g, 1, local_enum="l2r2", stats=st):
+            for _ in itraversal(g, 1, variant=name, stats=st):
                 pass
             links[name] = st.links
         return links

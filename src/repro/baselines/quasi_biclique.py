@@ -1,21 +1,16 @@
-"""δ-quasi-biclique detection — comparator for the Fig 13 case study.
+"""δ-quasi-biclique predicate — comparator for the Fig 13 case study.
 
 A δ-quasi-biclique (δ-QB) (L, R) allows each v ∈ L to miss at most
 δ·|R| edges toward R and each u ∈ R at most δ·|L| toward L [30]. The
 structure is *not* hereditary, so exact maximal enumeration is much
 harder than for k-biplexes (the paper makes this point in §1); the
-literature solves the maximum variant with MIP [23, 24]. For the case
-study — where only the *vertex sets flagged by found subgraphs* matter —
-we substitute a deterministic greedy grow-and-peel detector, seeded at
-every right vertex: grow R with the right vertices sharing the most
-neighbours with the seed's neighbourhood, peel violating vertices until
-the δ-QB constraints hold, and keep results meeting the size thresholds.
-This preserves the comparator's qualitative behaviour (larger δ → more
-disconnections tolerated → higher recall, lower precision).
+literature solves the maximum variant with MIP [23, 24]. The case study
+(`repro.casestudy.detect.detect_quasi_biclique`) finds δ-QBs as the
+θ-constrained maximal k-biplexes that pass `is_delta_qb`.
 """
 from __future__ import annotations
 
-from ..bipartite.graph import BipartiteGraph, Solution, solution_key
+from ..bipartite.graph import BipartiteGraph
 
 
 def is_delta_qb(
@@ -25,67 +20,3 @@ def is_delta_qb(
     return all(g.miss_l(v, right) <= delta * len(right) for v in left) and all(
         g.miss_r(u, left) <= delta * len(left) for u in right
     )
-
-
-def _peel(
-    g: BipartiteGraph,
-    left: set[int],
-    right: set[int],
-    delta: float,
-    theta_l: int,
-    theta_r: int,
-) -> Solution | None:
-    """Iteratively drop the worst-violating vertex until δ-QB or too small."""
-    while len(left) >= theta_l and len(right) >= theta_r:
-        worst = None  # (violation amount, side, vertex)
-        for v in left:
-            over = g.miss_l(v, right) - delta * len(right)
-            if over > 0 and (worst is None or over > worst[0]):
-                worst = (over, "L", v)
-        for u in right:
-            over = g.miss_r(u, left) - delta * len(left)
-            if over > 0 and (worst is None or over > worst[0]):
-                worst = (over, "R", u)
-        if worst is None:
-            return (frozenset(left), frozenset(right))
-        if worst[1] == "L":
-            left.discard(worst[2])
-        else:
-            right.discard(worst[2])
-    return None
-
-
-def find_quasi_bicliques(
-    g: BipartiteGraph,
-    delta: float,
-    *,
-    theta_l: int,
-    theta_r: int,
-    max_right_grow: int = 12,
-) -> list[Solution]:
-    """Greedy δ-QB detector; returns deduplicated solutions ≥ (θ_L, θ_R)."""
-    found: dict = {}
-    for seed in range(g.n_right):
-        base_left = set(g.adj_r[seed])
-        if len(base_left) < theta_l:
-            continue
-        # Rank other right vertices by neighbourhood overlap with the seed.
-        overlap = sorted(
-            (
-                (len(g.adj_r[u] & base_left), u)
-                for u in range(g.n_right)
-                if u != seed and g.adj_r[u] & base_left
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )
-        right = {seed} | {u for _, u in overlap[: max(theta_r, max_right_grow) - 1]}
-        left = {v for v in range(g.n_left) if len(g.adj_l[v] & right) >= 1}
-        # Keep only left vertices covering most of R before peeling,
-        # otherwise sparse hangers-on dominate the violation loop.
-        left = {
-            v for v in left if g.miss_l(v, right) <= max(delta * len(right), 1.0)
-        }
-        sol = _peel(g, left, right, delta, theta_l, theta_r)
-        if sol is not None and is_delta_qb(g, sol[0], sol[1], delta):
-            found[solution_key(sol)] = sol
-    return list(found.values())

@@ -165,9 +165,7 @@ def detect_quasi_biclique(
     """δ-QB detector via the paper's own correspondence (§6.3): a δ-QB
     with both sides around θ is a ⌈θδ⌉-biplex, so enumerate maximal
     k'-biplexes with k' = max(1, ⌊δ·max(θ_L, θ_R)⌋) and keep those that
-    satisfy the δ-QB definition. (The standalone greedy detector in
-    `repro.baselines.quasi_biclique` exists for unconstrained use; near
-    the θ thresholds the biplex route is both exact-er and faster.)
+    satisfy the δ-QB definition (`repro.baselines.quasi_biclique.is_delta_qb`).
 
     When δ·θ < 1 a δ-QB at threshold scale tolerates no missing edge at
     all — the structure degenerates to a biclique (the paper makes this

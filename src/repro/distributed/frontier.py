@@ -10,10 +10,10 @@ a DataFrame of newly-discovered MBPs:
             candidates --dropDuplicates / anti-join visited--> new
             visited ∪= new;  frontier = new
 
-The per-solution successor computation is the same pure-Python step as
-local iTraversal (EnumAlmostSat → right-shrinking check → left-only
-extension), executed inside executors against a broadcast adjacency. The
-*exclusion strategy* is inherently order-dependent (it threads state
+Each executor expands its solutions with the engine's own kernel,
+`repro.core.itraversal.successors` and `expandable`, run with the
+iTraversal-ES row of the Fig 11 table against a broadcast adjacency.
+The *exclusion strategy* is inherently order-dependent (it threads state
 along the DFS), so the distributed traversal omits it; the result set is
 identical — asserted against local iTraversal in the tests — only the
 number of traversed links differs.
@@ -28,9 +28,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..bipartite.graph import BipartiteGraph, Solution
-from ..core.almost_sat import enum_almost_sat
-from ..core.extend import extend_to_maximal, initial_solution_left
-from ..core.itraversal import _has_right_extension, _normalize_theta
+from ..core.extend import initial_solution_left
+from ..core.itraversal import VARIANTS, check_k_theta, expandable, successors
 
 SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
 
@@ -44,30 +43,6 @@ def solution_row(sol: Solution) -> dict:
     }
 
 
-def rs_successors(
-    g: BipartiteGraph, k: int, sol: Solution, theta: tuple[int, int] | None
-) -> list[Solution]:
-    """Left-anchored, right-shrinking successors of one solution.
-
-    Mirrors the successor step of `repro.core.itraversal.traverse` with
-    ``exclusion=None`` (see module docstring for why).
-    """
-    left, right = sol
-    full_right = frozenset(range(g.n_right))
-    r_min = theta[1] if theta else 0
-    out: list[Solution] = []
-    for v in range(g.n_left):
-        if v in left:
-            continue
-        if theta and len(g.adj_l[v] & right) + k < theta[1]:
-            continue
-        for loc in enum_almost_sat(g, sol, v, k, r_min=r_min):
-            if _has_right_extension(g, loc, k, full_right - right):
-                continue
-            out.append(extend_to_maximal(g, loc[0], loc[1], k, allow_right=False))
-    return out
-
-
 def frontier_enumerate(
     spark: SparkSession,
     g: BipartiteGraph,
@@ -79,25 +54,27 @@ def frontier_enumerate(
     """All maximal k-biplexes of ``g`` as a DataFrame (key, l, r).
 
     With ``theta`` set, only large MBPs are returned and the §5 prunings
-    apply (solutions whose right side fell below θ_R are neither emitted
-    nor expanded).
+    of the engine's kernel apply (solutions that `expandable` rejects are
+    kept but not expanded).
     """
-    th = _normalize_theta(theta)
+    th = check_k_theta(k, theta)
     sc = spark.sparkContext
     bc = sc.broadcast((g.adj_l, g.adj_r, g.n_left, g.n_right, k, th))
 
     def expand(batches):
         adj_l, adj_r, n_left, n_right, kk, tt = bc.value
         gg = BipartiteGraph(n_left=n_left, n_right=n_right, adj_l=adj_l, adj_r=adj_r)
+        row, no_excl = VARIANTS["iTraversal-ES"], frozenset()
         for pdf in batches:
             rows = []
             for l_arr, r_arr in zip(pdf["l"], pdf["r"]):
                 sol = (frozenset(int(x) for x in l_arr),
                        frozenset(int(x) for x in r_arr))
-                if tt and len(sol[1]) < tt[1]:
-                    continue  # §5 solution pruning: subtree is all-small
-                for succ in rs_successors(gg, kk, sol, tt):
-                    rows.append(solution_row(succ))
+                if expandable(gg, kk, sol, no_excl, tt):
+                    rows.extend(
+                        solution_row(child)
+                        for child, _ in successors(gg, kk, sol, no_excl, row, tt)
+                    )
             yield pd.DataFrame(rows, columns=["key", "l", "r"])
 
     h0 = initial_solution_left(g, k)

@@ -32,7 +32,7 @@ from ..bipartite.components import connected_components_edges
 from ..bipartite.core_decomp import alpha_beta_core_edges
 from ..bipartite.graph import BipartiteGraph
 from ..bipartite.spark_graph import edges_to_spark
-from ..core.itraversal import _normalize_theta, itraversal
+from ..core.itraversal import check_k_theta, itraversal
 from .frontier import SOLUTION_SCHEMA, solution_row
 
 
@@ -43,13 +43,13 @@ def enumerate_large_mbps_partitioned(
     theta: int | tuple[int, int],
 ) -> DataFrame:
     """Large MBPs of ``g`` as a DataFrame (key, l, r), component-parallel."""
-    th = _normalize_theta(theta)
-    theta_l, theta_r = th
-    if theta_r < 2 * k + 1 or theta_l < k + 1:
+    th = check_k_theta(k, theta)
+    if th is None or th[1] < 2 * k + 1 or th[0] < k + 1:
         raise ValueError(
             "component partitioning is exact only for theta_r >= 2k+1 and "
             f"theta_l >= k+1; got theta={th}, k={k}"
         )
+    theta_l, theta_r = th
     edges = edges_to_spark(spark, g)
     core = alpha_beta_core_edges(edges, alpha=theta_r - k, beta=theta_l - k)
     if core.isEmpty():

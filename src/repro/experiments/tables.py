@@ -18,7 +18,7 @@ from ..bipartite.core_decomp import theta_k_core
 from ..bipartite.generators import erdos_renyi_bipartite
 from ..bipartite.graph import BipartiteGraph
 from ..core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
-from ..core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
+from ..core.itraversal import VARIANTS, TraversalStats, itraversal
 from . import datasets
 from .harness import INF, measure_delay, run_with_timeout, time_first_n, Timeout
 
@@ -35,7 +35,9 @@ def algorithms(
     """Generator factories for the four compared algorithms (§6.1)."""
     return {
         "iTraversal": lambda: itraversal(g, k),
-        "bTraversal": lambda: btraversal(g, k),  # inflation-based local enum
+        "bTraversal": lambda: itraversal(
+            g, k, variant="bTraversal", local_enum="inflation"
+        ),
         "iMB": lambda: imb(g, k),
         "FaPlexen": lambda: faplexen(
             g, k, max_inflated_edges=FAPLEXEN_EDGE_BUDGET
@@ -258,11 +260,11 @@ def table6_solution_graph(
     for name in dataset_names:
         g = datasets.load(name)
         for k in ks:
-            for variant, make in VARIANTS.items():
+            for variant in VARIANTS:
                 stats = TraversalStats()
 
                 def consume():
-                    for _ in make(g, k, local_enum="l2r2", stats=stats):
+                    for _ in itraversal(g, k, variant=variant, stats=stats):
                         pass
 
                 try:

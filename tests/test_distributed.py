@@ -4,11 +4,10 @@ import pytest
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import solution_key
-from repro.core.itraversal import itraversal
+from repro.core.itraversal import VARIANTS, itraversal, successors
 from repro.distributed.frontier import (
     collect_solutions,
     frontier_enumerate,
-    rs_successors,
     solution_row,
 )
 from repro.distributed.partition import enumerate_large_mbps_partitioned
@@ -23,17 +22,21 @@ def test_solution_row_canonical():
     assert row == {"key": "0,2|1", "l": [0, 2], "r": [1]}
 
 
-def test_rs_successors_match_engine_links():
-    # Successors from H0 must all be maximal k-biplexes.
+def test_frontier_kernel_links_are_right_shrinking_mbps():
+    # The frontier's row: successors of H0 are maximal k-biplexes whose
+    # right side shrinks, and the exclusion set stays empty.
     from repro.bipartite.predicates import is_maximal_kbiplex
     from repro.core.extend import initial_solution_left
 
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=3)
     k = 1
     h0 = initial_solution_left(g, k)
-    for lp, rp in rs_successors(g, k, h0, None):
+    links = list(successors(g, k, h0, frozenset(), VARIANTS["iTraversal-ES"], None))
+    assert links
+    for (lp, rp), child_excl in links:
         assert is_maximal_kbiplex(g, lp, rp, k)
         assert rp <= h0[1]  # right-shrinking
+        assert child_excl() == frozenset()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -61,6 +64,30 @@ def test_frontier_theta(spark):
     }
     df = frontier_enumerate(spark, g, k, theta=theta)
     assert collect_solutions(df) == want
+
+
+@pytest.mark.parametrize("theta", [(2, 3), (3, 2)], ids=["2-3", "3-2"])
+def test_frontier_asymmetric_theta(spark, theta):
+    g = random_bipartite_gnp(n_left=6, n_right=6, p=0.6, seed=4)
+    k, (tl, tr) = 1, theta
+    want = {
+        (l, r)
+        for l, r in all_maximal_kbiplexes(g, k)
+        if len(l) >= tl and len(r) >= tr
+    }
+    assert want
+    df = frontier_enumerate(spark, g, k, theta=theta)
+    assert collect_solutions(df) == want
+
+
+def test_entry_points_reject_bad_k_and_theta(spark):
+    g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=0)
+    for k, theta in [(0, None), (1, -3), (1, True), (1, 2.7), (1, "3")]:
+        with pytest.raises(ValueError):
+            frontier_enumerate(spark, g, k, theta=theta)
+    for k, theta in [(0, 3), (1, None), (True, 3), (1, 3.0)]:
+        with pytest.raises(ValueError):
+            enumerate_large_mbps_partitioned(spark, g, k, theta)
 
 
 def test_frontier_no_duplicate_keys(spark):

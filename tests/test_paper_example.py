@@ -16,7 +16,7 @@ import pytest
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.graph import BipartiteGraph, solution_key
 from repro.core.extend import initial_solution_left
-from repro.core.itraversal import VARIANTS, TraversalStats
+from repro.core.itraversal import VARIANTS, TraversalStats, itraversal
 
 # A 5x5 bipartite graph dense enough to carry many overlapping MBPs,
 # mirroring the flavor of the paper's Figure 1 (5 left, 5 right vertices).
@@ -35,9 +35,11 @@ K = 1
 @pytest.fixture(scope="module")
 def ablation():
     out = {}
-    for name, make in VARIANTS.items():
+    for name in VARIANTS:
         stats = TraversalStats()
-        sols = {solution_key(s) for s in make(EXAMPLE, K, stats=stats)}
+        sols = {
+            solution_key(s) for s in itraversal(EXAMPLE, K, variant=name, stats=stats)
+        }
         out[name] = (sols, stats)
     return out
 

@@ -32,13 +32,20 @@ def _closure(g: BipartiteGraph, left: frozenset[int]) -> frozenset[int]:
 def maximal_bicliques(
     g: BipartiteGraph, *, min_left: int = 1, min_right: int = 1
 ) -> Iterator[Solution]:
-    """Enumerate maximal bicliques with |L| ≥ min_left, |R| ≥ min_right."""
+    """Enumerate maximal bicliques with |L| ≥ min_left, |R| ≥ min_right.
+
+    Pre-order DFS over the LCM tree with an explicit stack of child
+    iterators, so the tree depth is not bounded by Python's recursion
+    limit.
+    """
     if min_left < 1 or min_right < 1:
         raise ValueError("thresholds must be >= 1 (bicliques are non-empty)")
 
-    def rec(right: frozenset[int], left: frozenset[int], start: int) -> Iterator[Solution]:
-        if len(right) >= min_right:
-            yield (left, right)
+    def children(
+        right: frozenset[int], left: frozenset[int], start: int
+    ) -> Iterator[tuple[frozenset[int], frozenset[int], int]]:
+        """The LCM children of closed set ``right``, ascending by the
+        extending item u; each comes with the start of its own scan."""
         for u in range(start, g.n_right):
             if u in right:
                 continue
@@ -52,7 +59,7 @@ def maximal_bicliques(
             # branch.
             if any(w < u and w not in right for w in right2):
                 continue
-            yield from rec(right2, left2, u + 1)
+            yield right2, left2, u + 1
 
     # Root of the LCM tree: the closed set of the full left side (items
     # shared by *every* left vertex, usually ∅). The invariant
@@ -61,4 +68,16 @@ def maximal_bicliques(
     full_left = frozenset(range(g.n_left))
     if not full_left or len(full_left) < min_left:
         return
-    yield from rec(_closure(g, full_left), full_left, 0)
+    right = _closure(g, full_left)
+    if len(right) >= min_right:
+        yield (full_left, right)
+    stack = [children(right, full_left, 0)]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            continue
+        right, left, start = nxt
+        if len(right) >= min_right:
+            yield (left, right)
+        stack.append(children(right, left, start))

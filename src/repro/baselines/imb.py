@@ -22,6 +22,7 @@ from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
 from ..bipartite.predicates import can_add_left, can_add_right
+from ..core.itraversal import check_k_theta
 
 
 def imb(
@@ -37,8 +38,7 @@ def imb(
     Iterative DFS over states ``(solution, candidate queue, excluded)``.
     Candidates are (side, id) pairs in ascending order, left side first.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k_theta(k, (theta_l, theta_r))
 
     def feasible(sol: Solution, item: tuple[str, int]) -> bool:
         side, x = item

@@ -25,10 +25,6 @@ def solution_key(sol: Solution) -> SolutionKey:
     return (tuple(sorted(left)), tuple(sorted(right)))
 
 
-def make_solution(left: Iterable[int], right: Iterable[int]) -> Solution:
-    return (frozenset(left), frozenset(right))
-
-
 @dataclass
 class BipartiteGraph:
     """Adjacency-set bipartite graph.
@@ -106,20 +102,9 @@ class BipartiteGraph:
     def degree_right(self, u: int) -> int:
         return len(self.adj_r[u])
 
-    def has_edge(self, v: int, u: int) -> bool:
-        return u in self.adj_l[v]
-
     # ------------------------------------------------------------------
     # set-algebra helpers used by the enumerators (paper §2 notation)
     # ------------------------------------------------------------------
-    def gamma_l(self, v: int, right: frozenset[int] | set[int]) -> frozenset[int]:
-        """Γ(v, R): vertices of ``right`` adjacent to left vertex v."""
-        return frozenset(self.adj_l[v] & right)
-
-    def gamma_r(self, u: int, left: frozenset[int] | set[int]) -> frozenset[int]:
-        """Γ(u, L): vertices of ``left`` adjacent to right vertex u."""
-        return frozenset(self.adj_r[u] & left)
-
     def miss_l(self, v: int, right: frozenset[int] | set[int]) -> int:
         """δ̄(v, R): number of vertices of ``right`` NOT adjacent to v."""
         return len(right) - len(self.adj_l[v] & right)

@@ -9,15 +9,16 @@ Every enumerative detector first shrinks the graph with the sound core
 peeling for its structure (a subgraph whose every member meets the size
 thresholds survives the peel, and maximality inside the core equals
 global maximality — see `repro.distributed.partition` for the argument),
-which is what makes the sweep tractable; enumeration is additionally
-capped by ``max_solutions``/``budget_s`` like the paper's INF budget.
+which is what makes the sweep tractable. The per-cell time budget
+``budget_s`` (a `repro.experiments.harness.budget`, the paper's INF
+budget) is the only bound on enumeration: each detector collects
+solutions under it and flags whatever it collected, so a censored cell
+flags a budget-limited sample.
 """
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 from ..baselines.biclique import maximal_bicliques
@@ -25,6 +26,7 @@ from ..baselines.quasi_biclique import is_delta_qb
 from ..bipartite.core_decomp import alpha_beta_core
 from ..bipartite.graph import BipartiteGraph
 from ..core.itraversal import itraversal
+from ..experiments.harness import budget
 from .attack import FraudScenario
 
 Flagged = frozenset[tuple[str, int]]
@@ -96,37 +98,21 @@ def _core_subgraph(g: BipartiteGraph, alpha: int, beta: int):
     return sub2, [lids[v] for v in lorder], [rids[u] for u in rorder]
 
 
-def _budgeted(it, max_solutions: int, budget_s: float):
-    t0 = time.monotonic()
-    for sol in islice(it, max_solutions):
-        yield sol
-        if time.monotonic() - t0 > budget_s:
-            return
-
-
 def detect_kbiplex(
     scenario: FraudScenario,
     k: int,
     theta_l: int,
     theta_r: int,
     *,
-    max_solutions: int = 5000,
     budget_s: float = 60.0,
 ) -> Flagged:
     """Flag vertices in maximal k-biplexes with |L| ≥ θ_L, |R| ≥ θ_R."""
     sub, lids, rids = _core_subgraph(
         scenario.graph, max(theta_r - k, 1), max(theta_l - k, 1)
     )
-    # The deadline lives inside the engine: gaps between yields can be
-    # long, so a consumer-side check alone would not bound the cell.
-    sols = _budgeted(
-        itraversal(
-            sub, k, theta=(theta_l, theta_r),
-            deadline=time.monotonic() + budget_s,
-        ),
-        max_solutions,
-        budget_s,
-    )
+    sols: list = []
+    with budget(budget_s):
+        sols.extend(itraversal(sub, k, theta=(theta_l, theta_r)))
     return _flag(sols, lids, rids)
 
 
@@ -135,15 +121,12 @@ def detect_biclique(
     theta_l: int,
     theta_r: int,
     *,
-    max_solutions: int = 5000,
     budget_s: float = 60.0,
 ) -> Flagged:
     sub, lids, rids = _core_subgraph(scenario.graph, theta_r, theta_l)
-    sols = _budgeted(
-        maximal_bicliques(sub, min_left=theta_l, min_right=theta_r),
-        max_solutions,
-        budget_s,
-    )
+    sols: list = []
+    with budget(budget_s):
+        sols.extend(maximal_bicliques(sub, min_left=theta_l, min_right=theta_r))
     return _flag(sols, lids, rids)
 
 
@@ -159,7 +142,6 @@ def detect_quasi_biclique(
     theta_l: int,
     theta_r: int,
     *,
-    max_solutions: int = 5000,
     budget_s: float = 60.0,
 ) -> Flagged:
     """δ-QB detector via the paper's own correspondence (§6.3): a δ-QB
@@ -171,29 +153,21 @@ def detect_quasi_biclique(
     all — the structure degenerates to a biclique (the paper makes this
     point in §6.3), so the biclique detector is used directly."""
     if math.floor(delta * max(theta_l, theta_r)) < 1:
-        return detect_biclique(
-            scenario, theta_l, theta_r,
-            max_solutions=max_solutions, budget_s=budget_s,
-        )
+        return detect_biclique(scenario, theta_l, theta_r, budget_s=budget_s)
     k = math.floor(delta * max(theta_l, theta_r))
     sub, lids, rids = _core_subgraph(
         scenario.graph,
         max(math.ceil((1 - delta) * theta_r), 1),
         max(math.ceil((1 - delta) * theta_l), 1),
     )
-    sols = (
-        sol
-        for sol in _budgeted(
-            itraversal(
-                sub, k, theta=(theta_l, theta_r),
-                deadline=time.monotonic() + budget_s,
-            ),
-            max_solutions,
-            budget_s,
-        )
-        if is_delta_qb(sub, sol[0], sol[1], delta)
+    sols: list = []
+    with budget(budget_s):
+        sols.extend(itraversal(sub, k, theta=(theta_l, theta_r)))
+    return _flag(
+        (sol for sol in sols if is_delta_qb(sub, sol[0], sol[1], delta)),
+        lids,
+        rids,
     )
-    return _flag(sols, lids, rids)
 
 
 def evaluate(
@@ -214,7 +188,6 @@ def run_case_study(
     theta_r_values: tuple[int, ...] = (3, 4, 5, 6, 7),
     ks: tuple[int, ...] = (1, 2),
     deltas: tuple[float, ...] = (0.1, 0.2, 0.3),
-    max_solutions: int = 5000,
     budget_s: float = 60.0,
 ) -> list[DetectionResult]:
     """The full Fig 13 sweep. Returns one DetectionResult per cell."""
@@ -224,10 +197,7 @@ def run_case_study(
             evaluate(
                 scenario,
                 "biclique",
-                detect_biclique(
-                    scenario, theta_l, tr,
-                    max_solutions=max_solutions, budget_s=budget_s,
-                ),
+                detect_biclique(scenario, theta_l, tr, budget_s=budget_s),
                 theta_l,
                 tr,
             )
@@ -237,10 +207,7 @@ def run_case_study(
                 evaluate(
                     scenario,
                     f"{k}-biplex",
-                    detect_kbiplex(
-                        scenario, k, theta_l, tr,
-                        max_solutions=max_solutions, budget_s=budget_s,
-                    ),
+                    detect_kbiplex(scenario, k, theta_l, tr, budget_s=budget_s),
                     theta_l,
                     tr,
                 )
@@ -260,8 +227,7 @@ def run_case_study(
                     scenario,
                     f"{d}-QB",
                     detect_quasi_biclique(
-                        scenario, d, theta_l, tr,
-                        max_solutions=max_solutions, budget_s=budget_s,
+                        scenario, d, theta_l, tr, budget_s=budget_s
                     ),
                     theta_l,
                     tr,

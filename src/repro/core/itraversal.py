@@ -327,9 +327,11 @@ def itraversal(
     other refined variants of `enum_almost_sat` directly.
     ``theta``: only emit MBPs with both sides ≥ theta, with §5 prunings.
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
-    stops early (the reproduction's analog of the paper's INF budget —
-    enumeration between yields can be long, so the cutoff must live
-    inside the engine, not in the consumer).
+    stops early, checked between expansions. The tables and detectors
+    bound runs with `repro.experiments.harness.budget` (SIGALRM) instead;
+    this stays for the benchmark (``perfbench``), which stops every query
+    with it, and for callers off the main thread, where SIGALRM cannot
+    be used.
     """
     theta = check_k_theta(k, theta)
     if variant not in VARIANTS:

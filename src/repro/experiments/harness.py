@@ -3,20 +3,26 @@
 The paper's evaluation semantics that this module reproduces:
 
 * INF — a run is censored at a wall-clock budget (paper: 24 h; here a
-  per-cell budget in seconds). `run_with_timeout` enforces it with
-  SIGALRM so even an enumerator stuck *between* outputs is interrupted.
+  per-cell budget in seconds). `budget` enforces it with SIGALRM, so even
+  an enumerator stuck *between* outputs is interrupted.
 * OUT — a run exceeds the memory budget (paper: 32 GB); reproduced by
-  `InflationBudgetExceeded` guards inside the algorithms.
+  `InflationBudgetExceeded` guards inside the algorithms, which `budget`
+  records as OUT.
 * delay — the maximum of (start → first output), (gaps between
   consecutive outputs), (last output → termination), per §3.5.
+
+`budget` is the one way a run is cut short; every table and detector
+runs under it. No Spark call may run inside it: a SIGALRM landing in a
+py4j call poisons the JVM bridge.
 """
 from __future__ import annotations
 
 import signal
 import time
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
+
+from ..baselines.inflation import InflationBudgetExceeded
 
 INF = "INF"
 OUT = "OUT"
@@ -26,22 +32,51 @@ class Timeout(Exception):
     pass
 
 
-def run_with_timeout(fn: Callable[[], object], seconds: float):
-    """Run ``fn`` under a SIGALRM deadline; (result, elapsed) or raises
-    Timeout. Main-thread only (fine: jobs, tests and benches are)."""
+class budget:
+    """``with budget(seconds) as run:`` — run the block under a SIGALRM
+    wall-clock budget.
 
-    def _handler(signum, frame):
-        raise Timeout()
+    A `Timeout` (status INF) or `InflationBudgetExceeded` (status OUT)
+    raised inside the block is swallowed; any other exception
+    propagates. Afterwards ``run.status`` is ``"ok"``, INF or OUT and
+    ``run.seconds`` the block's wall-clock time (None unless ok).
+    Main-thread only and not nestable (fine: jobs, tests and benches
+    are); a caller off the main thread bounds the engine with
+    ``itraversal(deadline=)`` instead.
+    """
 
-    old = signal.signal(signal.SIGALRM, _handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    t0 = time.monotonic()
-    try:
-        result = fn()
-        return result, time.monotonic() - t0
-    finally:
+    def __init__(self, seconds: float):
+        self.limit = seconds
+        self.status = "ok"
+        self.seconds: float | None = None
+        self._fired = False
+
+    def _alarm(self, signum, frame) -> None:
+        self._fired = True
+        # An alarm that lands while __exit__ disarms the timer is
+        # recorded, not raised: it must not escape the with-statement.
+        if frame is None or frame.f_code is not budget.__exit__.__code__:
+            raise Timeout()
+
+    def __enter__(self) -> "budget":
+        self._old = signal.signal(signal.SIGALRM, self._alarm)
+        signal.setitimer(signal.ITIMER_REAL, self.limit)
+        self._t0 = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
         signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+        signal.signal(signal.SIGALRM, self._old)
+        elapsed = time.monotonic() - self._t0
+        if isinstance(exc, InflationBudgetExceeded):
+            self.status = OUT
+        elif isinstance(exc, Timeout) or (exc is None and self._fired):
+            self.status = INF
+        elif exc is not None:
+            return False
+        else:
+            self.seconds = elapsed
+        return True
 
 
 def time_first_n(
@@ -53,74 +88,36 @@ def time_first_n(
     Returns {'status': 'ok'|'INF'|'OUT', 'seconds': float|None, 'count'}.
     """
     count = 0
-
-    def consume():
-        nonlocal count
+    with budget(budget_s) as run:
         for _ in islice(make_gen(), n):
             count += 1
-
-    from ..baselines.inflation import InflationBudgetExceeded
-
-    try:
-        _, elapsed = run_with_timeout(consume, budget_s)
-        return {"status": "ok", "seconds": elapsed, "count": count}
-    except Timeout:
-        return {"status": INF, "seconds": None, "count": count}
-    except InflationBudgetExceeded:
-        return {"status": OUT, "seconds": None, "count": count}
+    return {"status": run.status, "seconds": run.seconds, "count": count}
 
 
 def measure_delay(make_gen: Callable[[], Iterator], budget_s: float) -> dict:
     """Max delay over a full enumeration (§3.5 definition).
 
-    Returns {'status', 'max_delay', 'mean_delay', 'count'}; INF when the
-    enumeration does not finish within the budget.
+    Returns {'status', 'max_delay', 'mean_delay', 'observed_max_gap',
+    'count'}; INF when the enumeration does not finish within the budget.
+    A censored run still reports ``observed_max_gap``: the largest gap
+    seen so far, including the unfinished stall up to the cutoff, is a
+    lower bound on the delay.
     """
     stamps: list[float] = []
     t0 = time.monotonic()
-
-    def consume():
+    with budget(budget_s) as run:
         for _ in make_gen():
             stamps.append(time.monotonic())
-
-    from ..baselines.inflation import InflationBudgetExceeded
-
-    try:
-        run_with_timeout(consume, budget_s)
-    except Timeout:
-        # Censored — but the max gap observed *so far* is still a valid
-        # lower bound on the delay (including the unfinished stall from
-        # the last output to the budget cutoff), and the count gives the
-        # rate.
-        bounds = [t0, *stamps, time.monotonic()]
-        observed = max(b - a for a, b in zip(bounds, bounds[1:]))
-        return {"status": INF, "max_delay": None, "mean_delay": None,
-                "observed_max_gap": observed, "count": len(stamps)}
-    except InflationBudgetExceeded:
-        return {"status": OUT, "max_delay": None, "mean_delay": None,
-                "observed_max_gap": None, "count": len(stamps)}
-    t_end = time.monotonic()
-    if not stamps:
-        return {"status": "ok", "max_delay": t_end - t0, "mean_delay": t_end - t0,
-                "observed_max_gap": t_end - t0, "count": 0}
-    bounds = [t0, *stamps, t_end]
+    bounds = [t0, *stamps, time.monotonic()]
     gaps = [b - a for a, b in zip(bounds, bounds[1:])]
+    ok = run.status == "ok"
     return {
-        "status": "ok",
-        "max_delay": max(gaps),
-        "mean_delay": sum(gaps) / len(gaps),
-        "observed_max_gap": max(gaps),
+        "status": run.status,
+        "max_delay": max(gaps) if ok else None,
+        "mean_delay": sum(gaps) / len(gaps) if ok else None,
+        "observed_max_gap": max(gaps) if run.status != OUT else None,
         "count": len(stamps),
     }
-
-
-@dataclass
-class TableSpec:
-    """A reproduced table: id, caption, and the paper's headline claim."""
-
-    table_id: str
-    paper_artifact: str
-    claim: str
 
 
 def fmt_cell(value) -> str:

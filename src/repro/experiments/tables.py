@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..baselines.imb import imb
@@ -20,7 +21,7 @@ from ..bipartite.graph import BipartiteGraph
 from ..core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
 from ..core.itraversal import VARIANTS, TraversalStats, itraversal
 from . import datasets
-from .harness import INF, measure_delay, run_with_timeout, time_first_n, Timeout
+from .harness import budget, measure_delay, time_first_n
 
 # Default memory budget for FaPlexen's inflation step, in edges. 32 GB at
 # ~12 bytes/edge (the paper's OUT budget) would be ~2.7e9; scaled to this
@@ -194,55 +195,42 @@ def table5_large_mbps(
         for theta in thetas:
             core_l, core_r = theta_k_core(g, theta, k)
             sub, _, _ = g.induced(core_l, core_r)
-            algos: list[tuple[str, Callable]] = [
+            runs = []
+            for algo, factory in (
                 ("iTraversal-theta", lambda: itraversal(sub, k, theta=theta)),
-                (
-                    "iMB-theta",
-                    lambda: imb(sub, k, theta_l=theta, theta_r=theta),
-                ),
-            ]
+                ("iMB-theta", lambda: imb(sub, k, theta_l=theta, theta_r=theta)),
+            ):
+                count = 0
+                with budget(budget_s) as run:
+                    for _ in factory():
+                        count += 1
+                runs.append((algo, run.status, run.seconds, count))
             if spark is not None and theta >= 2 * k + 1:
                 from ..distributed.partition import (
                     enumerate_large_mbps_partitioned,
                 )
 
-                def spark_factory():
-                    df = enumerate_large_mbps_partitioned(spark, g, k, theta)
-                    return iter(df.collect())
-
-                algos.append(("iTraversal-theta-spark", spark_factory))
-            for algo, factory in algos:
-                count = 0
-
-                def consume():
-                    nonlocal count
-                    for _ in factory():
-                        count += 1
-
-                try:
-                    if algo.endswith("spark"):
-                        # SIGALRM would poison the py4j bridge mid-collect;
-                        # the distributed run is bounded by the core size,
-                        # so time it plainly.
-                        t0 = time.monotonic()
-                        consume()
-                        status, seconds = "ok", time.monotonic() - t0
-                    else:
-                        _, elapsed = run_with_timeout(consume, budget_s)
-                        status, seconds = "ok", elapsed
-                except Timeout:
-                    status, seconds = INF, None
-                rows.append(
-                    {
-                        "dataset": name,
-                        "theta": theta,
-                        "core_size": f"{sub.n_left}x{sub.n_right}",
-                        "algorithm": algo,
-                        "status": status,
-                        "seconds": seconds,
-                        "large_mbps": count,
-                    }
+                # Outside any budget: a SIGALRM landing in a py4j call
+                # poisons the bridge. The distributed run is bounded by
+                # the core size, so it is timed plainly.
+                t0 = time.monotonic()
+                df = enumerate_large_mbps_partitioned(spark, g, k, theta)
+                count = len(df.collect())
+                runs.append(
+                    ("iTraversal-theta-spark", "ok", time.monotonic() - t0, count)
                 )
+            rows.extend(
+                {
+                    "dataset": name,
+                    "theta": theta,
+                    "core_size": f"{sub.n_left}x{sub.n_right}",
+                    "algorithm": algo,
+                    "status": status,
+                    "seconds": seconds,
+                    "large_mbps": count,
+                }
+                for algo, status, seconds, count in runs
+            )
     return rows
 
 
@@ -262,25 +250,18 @@ def table6_solution_graph(
         for k in ks:
             for variant in VARIANTS:
                 stats = TraversalStats()
-
-                def consume():
+                with budget(budget_s) as run:
                     for _ in itraversal(g, k, variant=variant, stats=stats):
                         pass
-
-                try:
-                    _, elapsed = run_with_timeout(consume, budget_s)
-                    status, seconds = "ok", elapsed
-                except Timeout:
-                    status, seconds = INF, None
                 rows.append(
                     {
                         "dataset": name,
                         "k": k,
                         "variant": variant,
-                        "status": status,
+                        "status": run.status,
                         "links": stats.links,
                         "solutions": stats.solutions,
-                        "seconds": seconds,
+                        "seconds": run.seconds,
                     }
                 )
     return rows
@@ -318,17 +299,9 @@ def table7_enum_almost_sat(
     }
     rows = []
     for k in ks:
-        mbps = []
-
-        def collect():
-            from itertools import islice
-
+        mbps: list = []
+        with budget(budget_s):
             mbps.extend(islice(itraversal(g, k), n_seed_mbps))
-
-        try:
-            run_with_timeout(collect, budget_s)
-        except Timeout:
-            pass
         instances = []
         for sol in mbps:
             outside = [v for v in range(g.n_left) if v not in sol[0]]
@@ -338,28 +311,24 @@ def table7_enum_almost_sat(
                 break
         for variant, fn in variants.items():
             n_local = 0
-
-            def consume():
-                nonlocal n_local
+            # The Inflation variant can blow up combinatorially on dense
+            # almost-satisfying graphs — the very effect Fig 12 reports;
+            # the budget censors it like the paper's INF.
+            with budget(budget_s) as run:
                 for sol, v in instances:
                     n_local += sum(1 for _ in fn(sol, v, k))
-
-            try:
-                _, elapsed = run_with_timeout(consume, budget_s)
-                status, mean_ms = "ok", 1000 * elapsed / max(len(instances), 1)
-            except Timeout:
-                # The Inflation variant can blow up combinatorially on
-                # dense almost-satisfying graphs — the very effect Fig 12
-                # reports; censor it like the paper's INF.
-                status, mean_ms = INF, None
             rows.append(
                 {
                     "dataset": dataset_name,
                     "k": k,
                     "variant": variant,
-                    "status": status,
+                    "status": run.status,
                     "instances": len(instances),
-                    "mean_ms": mean_ms,
+                    "mean_ms": (
+                        None
+                        if run.seconds is None
+                        else 1000 * run.seconds / max(len(instances), 1)
+                    ),
                     "local_solutions": n_local,
                 }
             )
@@ -389,6 +358,5 @@ def table8_fraud(
         ks=tuple(ks),
         deltas=tuple(deltas),
         budget_s=budget_s,
-        max_solutions=100_000,
     )
     return [r.row() for r in results]

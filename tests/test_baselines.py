@@ -1,6 +1,9 @@
 """Differential tests for the baseline algorithms (iMB, FaPlexen, k-plex,
 biclique, δ-QB)."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,8 +124,9 @@ def test_imb_no_duplicates():
 
 def test_imb_rejects_bad_k():
     g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
-    with pytest.raises(ValueError):
-        list(imb(g, 0))
+    for k, kwargs in [(0, {}), (True, {}), (1.0, {}), (1, {"theta_l": -1})]:
+        with pytest.raises(ValueError):
+            list(imb(g, k, **kwargs))
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,6 +162,25 @@ def test_bicliques_no_duplicates():
     g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=8)
     out = [solution_key(s) for s in maximal_bicliques(g)]
     assert len(out) == len(set(out))
+
+
+def test_bicliques_deep_tree_needs_no_recursion():
+    """A 120×120 staircase (left v adjacent to right 0..v) has a 120-deep
+    LCM chain; the explicit stack walks it with only n/2 frames of
+    recursion headroom above the caller."""
+    n = 120
+    g = BipartiteGraph.from_edges(
+        [(v, u) for v in range(n) for u in range(v + 1)], n_left=n, n_right=n
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+    try:
+        got = keys(maximal_bicliques(g))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == {
+        (tuple(range(j, n)), tuple(range(j + 1))) for j in range(n)
+    }
 
 
 def test_bicliques_reject_zero_threshold():

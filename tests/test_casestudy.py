@@ -1,7 +1,10 @@
 """Tests for the fraud-detection case study (attack injection, detectors,
 metrics — local and Spark, with the DuckDB oracle on the metric join)."""
+import time
+
 import pytest
 
+import repro.casestudy.detect as detect
 from repro.casestudy.attack import camouflage_attack
 from repro.casestudy.detect import (
     detect_biclique,
@@ -101,6 +104,24 @@ def test_detect_biclique_recall_collapses_with_theta(scenario):
     rec_low = len(low & scenario.fake_items)
     rec_high = len(high & scenario.fake_items)
     assert rec_high <= rec_low
+
+
+def test_detect_biclique_budget_interrupts_between_yields(scenario, monkeypatch):
+    """The budget cuts an enumerator that stalls between two yields and
+    flags what was collected before the cut."""
+    first = (frozenset({0, 1}), frozenset({0}))
+
+    def stalling(sub, **kwargs):
+        yield first
+        time.sleep(3)
+        yield (frozenset({2}), frozenset({1}))
+
+    monkeypatch.setattr(detect, "maximal_bicliques", stalling)
+    _, lids, rids = detect._core_subgraph(scenario.graph, 3, 3)
+    t0 = time.monotonic()
+    flagged = detect_biclique(scenario, 3, 3, budget_s=0.3)
+    assert time.monotonic() - t0 < 1.5
+    assert flagged == {("L", lids[0]), ("L", lids[1]), ("R", rids[0])}
 
 
 def test_detect_quasi_biclique_small_delta_is_biclique(scenario):

@@ -1,16 +1,18 @@
 """Tests for the experiment layer: datasets, harness, and each table
 function at miniature scale (the jobs run the same code at full scale)."""
+import signal
 import time
 
 import pytest
 
+from repro.baselines.inflation import InflationBudgetExceeded
 from repro.experiments import datasets, tables
 from repro.experiments.harness import (
     INF,
-    Timeout,
+    OUT,
+    budget,
     format_table,
     measure_delay,
-    run_with_timeout,
     time_first_n,
 )
 
@@ -43,15 +45,53 @@ def test_specs_cover_paper_table1():
 
 
 # -------------------------------------------------------------- harness
-def test_run_with_timeout_ok():
-    result, elapsed = run_with_timeout(lambda: 42, 5)
-    assert result == 42
-    assert elapsed < 1
+def _assert_disarmed(handler):
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
-def test_run_with_timeout_fires():
-    with pytest.raises(Timeout):
-        run_with_timeout(lambda: time.sleep(3), 0.2)
+def test_budget_ok():
+    before = signal.getsignal(signal.SIGALRM)
+    with budget(5) as run:
+        x = 42
+    assert x == 42
+    assert run.status == "ok"
+    assert 0 <= run.seconds < 1
+    _assert_disarmed(before)
+
+
+def test_budget_inf():
+    before = signal.getsignal(signal.SIGALRM)
+    t0 = time.monotonic()
+    with budget(0.2) as run:
+        time.sleep(3)
+    assert time.monotonic() - t0 < 1.5
+    assert run.status == INF
+    assert run.seconds is None
+    _assert_disarmed(before)
+
+
+def test_budget_out():
+    def gen():
+        yield 1
+        raise InflationBudgetExceeded("too many inflated edges")
+
+    before = signal.getsignal(signal.SIGALRM)
+    seen = []
+    with budget(5) as run:
+        seen.extend(gen())
+    assert seen == [1]
+    assert run.status == OUT
+    assert run.seconds is None
+    _assert_disarmed(before)
+
+
+def test_budget_propagates_other_errors():
+    before = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(KeyError):
+        with budget(5):
+            raise KeyError("x")
+    _assert_disarmed(before)
 
 
 def test_time_first_n_ok():

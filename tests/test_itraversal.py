@@ -7,6 +7,8 @@ including hypothesis-generated ones. This is also how we validate the
 exclusion-strategy rule, whose proof lives in the paper's offline
 technical report (see module docstring of itraversal.py).
 """
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,24 @@ def test_kernel_looks_up_every_layer_at_call_time(monkeypatch):
     assert st_.pruned_right_shrinking and st_.pruned_theta_potential
     assert st_.pruned_exclusion
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("theta", [None, 3], ids=["None", "3"])
+def test_past_deadline_stops_after_initial_solution(theta):
+    """The benchmark stops every query with ``deadline``: one already
+    past yields at most the initial solution and expands nothing."""
+    g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=0)
+    assert len(list(itraversal(g, 1))) > 1
+    st_ = TraversalStats()
+    out = list(itraversal(g, 1, theta=theta, stats=st_, deadline=time.monotonic() - 1))
+    assert out in ([], [initial_solution_left(g, 1)])
+    assert st_.expansions == 0 and st_.links == 0
+
+
+@pytest.mark.parametrize("seed,p", [(0, 0.4), (1, 0.5), (2, 0.6)])
+def test_no_deadline_matches_bruteforce(seed, p):
+    g = random_bipartite_gnp(n_left=6, n_right=6, p=p, seed=seed)
+    assert keys(itraversal(g, 1, deadline=None)) == all_maximal_kbiplexes(g, 1)
 
 
 def test_lazy_first_n():
